@@ -16,7 +16,9 @@ verify: build vet test
 # bench emits the perf-trajectory file for this PR: every benchmark at a
 # fixed, comparable iteration count, with allocation stats, as the JSON
 # stream go test produces with -json. Five passes:
-#   1. the steady families at 100x (figures, ablations, micro-benches);
+#   1. the steady families at 100x (figures, ablations, micro-benches,
+#      including the box-population match pair TableMatchBox/clean and
+#      /tombstoned — the resident shape of live churn);
 #   2. the live-throughput pair at sustained scale (legacy vs sharded);
 #   3. the index-build sweep at 1x — one full build per size is the
 #      measurement, and the quadratic re-sort baseline at 100k is the

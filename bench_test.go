@@ -11,6 +11,8 @@
 package bdps
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 
 	"bdps/internal/core"
@@ -350,6 +352,53 @@ func benchTableMatch(b *testing.B, indexed bool) {
 
 func BenchmarkTableMatchLinear(b *testing.B)  { benchTableMatch(b, false) }
 func BenchmarkTableMatchIndexed(b *testing.B) { benchTableMatch(b, true) }
+
+// BenchmarkTableMatchBox measures indexed matching on the population live
+// churn keeps resident: 2000 box filters "lo1 < A1 < hi1 && lo2 < A2 <
+// hi2", each matching 1% of uniformly drawn messages. The tombstoned
+// variant also holds as many removed entries as live ones — the most the
+// table and its index carry before compacting.
+func BenchmarkTableMatchBox(b *testing.B) {
+	b.Run("clean", func(b *testing.B) { benchTableMatchBox(b, false) })
+	b.Run("tombstoned", func(b *testing.B) { benchTableMatchBox(b, true) })
+}
+
+func benchTableMatchBox(b *testing.B, tombstoned bool) {
+	const live, share = 2000, 0.01
+	rng := rand.New(rand.NewSource(1))
+	side := math.Sqrt(share) // attributes are uniform on [0, 1)
+	tb := routing.NewTable(0)
+	tb.EnableIndex()
+	n := live
+	if tombstoned {
+		n = 2 * live
+	}
+	for i := 0; i < n; i++ {
+		lo1, lo2 := rng.Float64()*(1-side), rng.Float64()*(1-side)
+		f := filter.And(filter.Gt("A1", lo1), filter.Lt("A1", lo1+side),
+			filter.Gt("A2", lo2), filter.Lt("A2", lo2+side))
+		tb.Add(&routing.Entry{Sub: &msg.Subscription{ID: msg.SubID(i), Edge: 5, Filter: f}, Source: 0, Next: 5})
+	}
+	for i := 0; tombstoned && i < n; i += 2 {
+		tb.RemoveSub(msg.SubID(i))
+	}
+	if tb.Len() != live {
+		b.Fatalf("table holds %d live entries, want %d", tb.Len(), live)
+	}
+	msgs := make([]*msg.Message, 1024)
+	for i := range msgs {
+		msgs[i] = &msg.Message{Attrs: msg.NumAttrs(map[string]float64{"A1": rng.Float64(), "A2": rng.Float64()})}
+	}
+	var buf []*routing.Entry
+	matched := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = tb.MatchAppend(msgs[i%len(msgs)], buf[:0])
+		matched += len(buf)
+	}
+	b.ReportMetric(float64(matched)/float64(b.N), "matches/op")
+}
 
 func BenchmarkRoutingBuild(b *testing.B) {
 	ov, err := topology.BuildLayered(topology.LayeredConfig{Seed: 1})

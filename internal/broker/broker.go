@@ -201,7 +201,7 @@ type Processor struct {
 	locked bool // take per-queue locks around enqueues
 
 	matchBuf []*routing.Entry
-	// matchScratch is this worker's private counting-index state, so
+	// matchScratch is this worker's private match-index state, so
 	// concurrent Processors share the table's index without sharing any
 	// mutable match state.
 	matchScratch filter.MatchScratch
@@ -242,7 +242,7 @@ func (p *Processor) process(m *msg.Message, now vtime.Millis) Result {
 	}
 
 	if p.locked {
-		// Concurrent matchers share the table's counting index through a
+		// Concurrent matchers share the table's match index through a
 		// per-worker match scratch; table mutations (subscription floods)
 		// exclude them via the runtime's write lock.
 		p.matchBuf = b.table.MatchAppendWith(&p.matchScratch, m, p.matchBuf[:0])

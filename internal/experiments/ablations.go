@@ -38,7 +38,7 @@ func ablationSweep[T any](o *Options, xs []T, mutate func(T, *simnet.Config)) ([
 					Churn:      o.Churn,
 				},
 				LinkModel: o.LinkModel,
-				// Churning cells force the counting index, matching the
+				// Churning cells force the match index, matching the
 				// figure cells (Options.config).
 				IndexedMatch: o.Churn.Enabled(),
 			}
@@ -526,7 +526,7 @@ func AblationOverload(opts Options) (*Figure, error) {
 		}
 		cfg.Admission = arms[c.arm]
 		// Flash subscribe bursts mutate routing tables mid-run; arm the
-		// churn-proof counting index like the churn cells do.
+		// churn-proof match index like the churn cells do.
 		cfg.IndexedMatch = true
 	})
 	if err != nil {

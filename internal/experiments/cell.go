@@ -41,7 +41,7 @@ func (o *Options) config(c Cell) simnet.Config {
 		LinkModel:      o.LinkModel,
 		TimeScale:      o.TimeScale,
 		LiveShards:     o.LiveShards,
-		// Churning cells run the incremental counting index: the fast
+		// Churning cells run the incremental match index: the fast
 		// path the churn rework exists to keep alive under mutation.
 		IndexedMatch: o.Churn.Enabled(),
 	}

@@ -45,7 +45,7 @@ type Options struct {
 	LinkModel      simnet.LinkModel
 	// Churn adds a dynamic subscriber population to every cell
 	// (subscribe/unsubscribe floods mutating the routing tables mid-run;
-	// see workload.Churn). Cells with churn force the counting-index fast
+	// see workload.Churn). Cells with churn force the match-index fast
 	// path so figures exercise the incremental index under mutation.
 	Churn workload.Churn
 	// Parallelism caps concurrent simulation runs; 0 or negative means

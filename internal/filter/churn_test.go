@@ -3,6 +3,7 @@ package filter
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"sync"
 	"testing"
 )
@@ -78,40 +79,85 @@ func TestIndexAddBatch(t *testing.T) {
 // must match direct filter evaluation.
 func TestIndexChurnEquivalenceRandom(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
+	// grid draws from the half-unit grid messages also draw from, so
+	// message values land exactly on bounds; fine draws off it.
+	grid := func() float64 { return float64(r.Intn(21)) / 2 }
+	fine := func() float64 {
+		v, _ := strconv.ParseFloat(fmt.Sprintf("%.2f", 10*r.Float64()), 64)
+		return v
+	}
+	bound := func() float64 {
+		if r.Intn(2) == 0 {
+			return grid()
+		}
+		return fine()
+	}
+	lowOp := func() string { return []string{">", ">="}[r.Intn(2)] }
+	highOp := func() string { return []string{"<", "<="}[r.Intn(2)] }
+	interval := func(attr string, lo, w float64) string {
+		return fmt.Sprintf("%s %s %g && %s %s %g", attr, lowOp(), lo, attr, highOp(), lo+w)
+	}
 	mkFilter := func() *Filter {
-		switch r.Intn(6) {
+		switch r.Intn(12) {
 		case 0:
-			return MustParse(fmt.Sprintf("A1 < %.2f && A2 < %.2f", 10*r.Float64(), 10*r.Float64()))
+			return MustParse(fmt.Sprintf("A1 < %g && A2 < %g", bound(), bound()))
 		case 1:
-			return MustParse(fmt.Sprintf("A1 >= %.2f", 10*r.Float64()))
+			return MustParse(fmt.Sprintf("A1 >= %g", bound()))
 		case 2:
-			return MustParse(fmt.Sprintf("A1 > %.2f || A2 <= %.2f", 10*r.Float64(), 10*r.Float64()))
+			return MustParse(fmt.Sprintf("A1 > %g || A2 <= %g", bound(), bound()))
 		case 3:
-			return MustParse(fmt.Sprintf("A1 != %.2f", 10*r.Float64())) // fallback
+			return MustParse(fmt.Sprintf("A1 != %g", bound())) // fallback
 		case 4:
 			return nil // wildcard
-		default:
-			return MustParse(fmt.Sprintf("tag == 'v%d' && A1 < %.2f", r.Intn(3), 10*r.Float64()))
+		case 5:
+			return MustParse(fmt.Sprintf("tag == 'v%d' && A1 < %g", r.Intn(3), bound()))
+		case 6: // two-sided interval, possibly of zero width
+			return MustParse(interval("A1", bound(), float64(r.Intn(3))/2))
+		case 7: // box
+			return MustParse(interval("A1", bound(), 1+bound()/4) + " && " + interval("A2", bound(), 1+bound()/4))
+		case 8: // numeric equality
+			return MustParse(fmt.Sprintf("A1 == %g && A2 %s %g", grid(), highOp(), bound()))
+		case 9: // wide among narrow
+			return MustParse(interval("A1", -1000, 2000) + fmt.Sprintf(" && A2 > %g", bound()))
+		case 10: // != mixed into an indexed conjunction
+			return MustParse(interval("A1", bound(), 2) + fmt.Sprintf(" && A2 != %g && tag != 'v1'", grid()))
+		default: // no indexable predicate
+			return MustParse(fmt.Sprintf("A2 != %g && tag != 'v%d'", grid(), r.Intn(3)))
 		}
 	}
+	value := func() float64 {
+		if r.Intn(2) == 0 {
+			return grid()
+		}
+		return 10 * r.Float64()
+	}
+	compacted := false
 	for trial := 0; trial < 30; trial++ {
 		ix := NewIndex()
 		live := map[int32]*Filter{}
 		nextID := int32(0)
+		// Odd trials are removal-heavy, so dead conjunctions come to
+		// outnumber live ones and the compaction sweep runs mid-churn.
+		addCut, removeCut := 5, 8
+		if trial%2 == 1 {
+			addCut, removeCut = 3, 9
+		}
 		for op := 0; op < 400; op++ {
 			switch k := r.Intn(10); {
-			case k < 5: // Add
+			case k < addCut: // Add
 				f := mkFilter()
 				ix.Add(nextID, f)
 				live[nextID] = f
 				nextID++
-			case k < 8: // Remove a random live id (or a missing one)
-				if len(live) == 0 || k == 7 {
+			case k < removeCut: // Remove a random live id (or a missing one)
+				if len(live) == 0 || k == removeCut-1 {
 					ix.Remove(nextID + 1000) // no-op
 					continue
 				}
 				for id := range live {
+					dead := ix.deadConjs
 					ix.Remove(id)
+					compacted = compacted || ix.deadConjs < dead
 					delete(live, id)
 					break
 				}
@@ -134,7 +180,7 @@ func TestIndexChurnEquivalenceRandom(t *testing.T) {
 			rebuilt.Add(id, f)
 		}
 		for m := 0; m < 20; m++ {
-			a := iattrs("A1", 10*r.Float64(), "A2", 10*r.Float64(), "tag", fmt.Sprintf("v%d", r.Intn(3)))
+			a := iattrs("A1", value(), "A2", value(), "tag", fmt.Sprintf("v%d", r.Intn(3)))
 			got := append([]int32(nil), ix.Match(a)...)
 			want := rebuilt.Match(a)
 			if !sameIDs(got, want) {
@@ -152,46 +198,49 @@ func TestIndexChurnEquivalenceRandom(t *testing.T) {
 			}
 		}
 	}
+	if !compacted {
+		t.Fatal("no trial ever compacted: the oracle never checked the sweep")
+	}
 }
 
-// TestIndexTouchedListsOnly pins the churn fix the rewrite keeps
-// visible: only the predicate lists an Add actually lands in are ever
-// merged (the old implementation re-sorted all four operator maps'
-// lists on every Add), and wildcard/fallback adds touch no list.
+// TestIndexTouchedListsOnly pins the churn property the access-predicate
+// runs keep: only the run an Add actually lands in is ever merged (the
+// original implementation re-sorted every bound list on every Add), and
+// wildcard/fallback adds touch no run.
 func TestIndexTouchedListsOnly(t *testing.T) {
 	ix := NewIndex()
-	// Seed a list on attribute "b" and force it fully merged.
+	// Seed the upper-bound run on attribute "b" and force it fully merged.
 	for i := 0; i < 40; i++ {
 		ix.Add(int32(i), MustParse(fmt.Sprintf("b < %d", i)))
 	}
 	ix.Flush()
-	bTail := len(ix.lt["b"].tailBounds)
-	if bTail != 0 {
-		t.Fatalf("b tail = %d after Flush, want 0", bTail)
+	b := &ix.attrs[ix.slots["b"]].upper
+	if len(b.tail) != 0 {
+		t.Fatalf("b tail = %d after Flush, want 0", len(b.tail))
 	}
-	merges := ix.merges
 
-	// Wildcard and fallback adds: no list touched, no merges anywhere.
+	// Wildcard and fallback adds: no run created or touched.
 	ix.Add(1000, nil)
 	ix.Add(1001, MustParse("a != 3"))
-	if ix.merges != merges {
-		t.Fatalf("wildcard/fallback adds caused %d merges", ix.merges-merges)
+	if ix.attrs[ix.slots["a"]] != nil || len(b.tail) != 0 {
+		t.Fatal("wildcard/fallback adds touched a run")
 	}
 
-	// A burst of adds on attribute "a" may merge a's list but must leave
-	// b's run untouched.
-	bLen := len(ix.lt["b"].bounds)
+	// A burst of adds on attribute "a" merges a's run but must leave b's
+	// run untouched.
+	bLen := len(b.sorted)
 	for i := 0; i < 100; i++ {
 		ix.Add(int32(2000+i), MustParse(fmt.Sprintf("a < %d", i)))
 	}
-	if got := len(ix.lt["b"].bounds); got != bLen {
+	b = &ix.attrs[ix.slots["b"]].upper
+	if got := len(b.sorted); got != bLen {
 		t.Fatalf("adds on 'a' modified 'b' run: %d -> %d", bLen, got)
 	}
-	if got := len(ix.lt["b"].tailBounds); got != 0 {
+	if got := len(b.tail); got != 0 {
 		t.Fatalf("adds on 'a' grew 'b' tail: %d", got)
 	}
-	if ix.merges == merges {
-		t.Fatal("100 adds on one attribute never merged its tail (threshold broken?)")
+	if a := &ix.attrs[ix.slots["a"]].upper; len(a.sorted) == 0 || len(a.tail) >= 100 {
+		t.Fatalf("100 adds on one attribute never merged its tail (sorted %d, tail %d)", len(a.sorted), len(a.tail))
 	}
 }
 
@@ -242,12 +291,19 @@ func TestIndexRemoveCompacts(t *testing.T) {
 	}
 	// Compaction triggers whenever dead conjunctions outnumber live ones
 	// (past a floor of 64); only a sub-threshold residual may remain.
-	if ix.deadConjs > 64 && ix.deadConjs > ix.liveConjs {
+	live := len(ix.conjs) - ix.deadConjs
+	if ix.deadConjs > 64 && ix.deadConjs > live {
 		t.Fatalf("deadConjs = %d (live %d) after removing 400 of 500: compaction never ran",
-			ix.deadConjs, ix.liveConjs)
+			ix.deadConjs, live)
 	}
-	if len(ix.conjs) > 2*ix.liveConjs+64 {
-		t.Fatalf("conjs slab %d for %d live: tombstones not being swept", len(ix.conjs), ix.liveConjs)
+	if len(ix.conjs) > 2*live+64 {
+		t.Fatalf("conjs slab %d for %d live: tombstones not being swept", len(ix.conjs), live)
+	}
+	// The sweep reaches the run itself: the run holds no more entries
+	// than the conjunction slab.
+	if r := &ix.attrs[ix.slots["A1"]].upper; len(r.sorted)+len(r.tail) != len(ix.conjs) {
+		t.Fatalf("A1 run holds %d entries for %d conjunctions: tombstones not swept from the run",
+			len(r.sorted)+len(r.tail), len(ix.conjs))
 	}
 	got := ix.Match(iattrs("A1", 450.0))
 	want := make([]int32, 0, 49)

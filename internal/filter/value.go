@@ -55,7 +55,8 @@ func (v Value) Equal(o Value) bool {
 }
 
 // compare returns -1, 0, +1 for same-kind values and ok=false when the
-// kinds differ (cross-kind comparisons never match).
+// kinds differ or either number is NaN: cross-kind comparisons never
+// match, and NaN satisfies no numeric predicate (not even !=).
 func (v Value) compare(o Value) (c int, ok bool) {
 	if v.Kind != o.Kind {
 		return 0, false
@@ -67,8 +68,10 @@ func (v Value) compare(o Value) (c int, ok bool) {
 			return -1, true
 		case v.Num > o.Num:
 			return 1, true
-		default:
+		case v.Num == o.Num:
 			return 0, true
+		default: // a NaN is neither below, above nor equal
+			return 0, false
 		}
 	default:
 		switch {

@@ -159,7 +159,7 @@ func (ins *Installer) paths(src, edge msg.NodeID) [][]msg.NodeID {
 // Install adds one subscription's entries at every broker along its
 // delivery paths: for each ingress the same deterministic min-mean path
 // (or K shortest paths) the bulk build would have chosen. Tables with
-// an enabled counting index absorb the additions incrementally.
+// an enabled match index absorb the additions incrementally.
 // Unreachable (ingress, edge) pairs are skipped, mirroring the live
 // overlay's dynamic flood behavior. Returns the entries installed.
 func (ins *Installer) Install(tables map[msg.NodeID]*Table, sub *msg.Subscription) int {

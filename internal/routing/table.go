@@ -88,7 +88,7 @@ func (e *Entry) String() string {
 }
 
 // Table is one broker's subscription table, built for churn: Add and
-// RemoveSub are sublinear and keep any counting index current in place,
+// RemoveSub are sublinear and keep any match index current in place,
 // so a live subscribe/unsubscribe flood never knocks matching back to a
 // linear filter scan.
 //
@@ -106,13 +106,13 @@ type Table struct {
 	// back-references RemoveSub follows instead of scanning the table.
 	bySub map[msg.SubID][]entryRef
 
-	// indexed is set by EnableIndex: every source keeps a counting index
+	// indexed is set by EnableIndex: every source keeps a match index
 	// that mutations update incrementally.
 	indexed bool
 }
 
 // sourceState is one ingress's entry list. Slots are positional — the
-// counting index emits positions — so RemoveSub tombstones a slot to nil
+// match index emits positions — so RemoveSub tombstones a slot to nil
 // instead of shifting; the list is compacted (and its index rebuilt in
 // one batch) only when tombstones outnumber live entries.
 type sourceState struct {
@@ -139,7 +139,7 @@ func NewTable(broker msg.NodeID) *Table {
 // Broker returns the owning broker id.
 func (t *Table) Broker() msg.NodeID { return t.broker }
 
-// Add installs an entry, updating the source's counting index in place
+// Add installs an entry, updating the source's match index in place
 // when one is enabled (amortized sublinear; see filter.Index.Add).
 func (t *Table) Add(e *Entry) {
 	st := t.bySource[e.Source]
@@ -166,7 +166,7 @@ func (t *Table) Len() int { return t.size }
 // RemoveSub deletes every entry of a subscription (all ingresses, all
 // paths), returning how many entries were removed. The removal is
 // sublinear — slots are found through per-subscription back-references
-// and tombstoned, and any counting index tombstones the matching
+// and tombstoned, and any match index tombstones the matching
 // conjunctions in place (no rebuild, no lost fast path).
 func (t *Table) RemoveSub(id msg.SubID) int {
 	refs := t.bySub[id]
@@ -253,12 +253,14 @@ func (t *Table) compactSource(src msg.NodeID, st *sourceState) {
 	}
 }
 
-// EnableIndex builds a per-ingress predicate-counting index over the
-// entry filters, turning Match from a linear filter scan into the
-// counting algorithm, and arms incremental maintenance: subsequent Add
-// and RemoveSub calls update the indexes in place. Matching semantics
-// are identical (the filter package's index falls back for non-indexable
-// filters).
+// EnableIndex builds a per-ingress access-predicate match index over
+// the entry filters, turning Match from a linear filter scan into a
+// search that visits each filter conjunction only through its one
+// access predicate — O(log n) per attribute run plus the candidates
+// whose access predicate holds (see filter.Index) — and arms incremental
+// maintenance: subsequent Add and RemoveSub calls update the indexes in
+// place. Matching semantics are identical (conjunctions with no
+// indexable predicate are evaluated directly).
 func (t *Table) EnableIndex() {
 	t.indexed = true
 	for src, st := range t.bySource {
@@ -276,7 +278,7 @@ func (t *Table) EnableIndex() {
 	}
 }
 
-// Indexed reports whether the counting-index fast path is armed (it
+// Indexed reports whether the match-index fast path is armed (it
 // stays armed across mutations; tests assert the fast path survives
 // churn).
 func (t *Table) Indexed() bool { return t.indexed }
@@ -338,17 +340,6 @@ func appendLinear(st *sourceState, m *msg.Message, buf []*Entry) []*Entry {
 		}
 	}
 	return buf
-}
-
-// MatchAppendLinear is MatchAppend restricted to the stateless linear
-// scan, which touches only immutable entry state. Retained for
-// baselines and benchmarks; the concurrent fast path is MatchAppendWith.
-func (t *Table) MatchAppendLinear(m *msg.Message, buf []*Entry) []*Entry {
-	st := t.bySource[m.Ingress]
-	if st == nil {
-		return buf
-	}
-	return appendLinear(st, m, buf)
 }
 
 // Entries returns all live entries for an ingress, for tests and

@@ -97,8 +97,9 @@ type Config struct {
 	// fairness in the Result). Costs one map update per delivery.
 	PerSubscriber bool
 
-	// IndexedMatch builds the counting-index fast path on every broker's
-	// subscription table. Semantically identical to the linear scan.
+	// IndexedMatch builds the access-predicate match index on every
+	// broker's subscription table (see routing.Table.EnableIndex).
+	// Semantically identical to the linear scan.
 	IndexedMatch bool
 
 	// Aggregate enables covering-based subscription aggregation: a

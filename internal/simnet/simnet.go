@@ -200,7 +200,7 @@ func deploy(p *runtime.Plan) (*Network, error) {
 	}
 
 	// Subscription churn becomes timed events mutating the routing
-	// tables in place — tables with an enabled counting index absorb the
+	// tables in place — tables with an enabled match index absorb the
 	// mutations incrementally (no rebuild, no lost fast path).
 	if len(p.SubEvents) > 0 {
 		if p.Agg != nil {
