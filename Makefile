@@ -19,7 +19,7 @@ verify: build vet test
 #   1. the steady families at 100x (figures, ablations, micro-benches,
 #      including the box-population match pair TableMatchBox/clean and
 #      /tombstoned — the resident shape of live churn);
-#   2. the live-throughput pair at sustained scale (legacy vs sharded);
+#   2. the live data plane's throughput at sustained scale;
 #   3. the index-build sweep at 1x — one full build per size is the
 #      measurement, and the quadratic re-sort baseline at 100k is the
 #      before number the churn rework is judged against;

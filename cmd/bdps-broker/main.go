@@ -12,12 +12,14 @@
 //
 // peers.json: {"0": "127.0.0.1:7000", "1": "127.0.0.1:7001", ...}
 //
-// The broker schedules its output queues with the selected strategy
-// (default EBPC with r = 0.5) and prints its counters on exit. With
-// -state-dir it keeps a WAL + snapshot of its subscription admissions
-// and per-link watermarks: SIGTERM drains gracefully (checkpoint, then
-// stop), SIGINT stops hard, and a successor started with the same
-// directory rejoins warm under a fresh incarnation epoch.
+// The broker runs the sharded live data plane with one ingress worker
+// per core (GOMAXPROCS), schedules its output queues with the selected
+// strategy (default EBPC with r = 0.5) and prints its counters on exit.
+// Its local subscribers get resumable sessions. With -state-dir it
+// keeps a WAL + snapshot of its subscription admissions and per-link
+// watermarks: SIGTERM drains gracefully (checkpoint, then stop), SIGINT
+// stops hard, and a successor started with the same directory rejoins
+// warm under a fresh incarnation epoch.
 package main
 
 import (

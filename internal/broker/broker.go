@@ -124,11 +124,6 @@ func (b *Broker) Queue(next msg.NodeID) *core.Queue {
 	return q
 }
 
-// Queues exposes the instantiated output queues (diagnostics). The map
-// is a snapshot-free view: callers that may race queue creation use
-// EachQueue instead.
-func (b *Broker) Queues() map[msg.NodeID]*core.Queue { return b.queues }
-
 // EachQueue calls fn for every instantiated queue under the map lock,
 // safe against concurrent queue creation. fn must not call back into
 // Queue.

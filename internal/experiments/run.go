@@ -60,7 +60,7 @@ type Options struct {
 	// TimeScale compresses emulated delays on wall-clock backends (see
 	// runtime.Config.TimeScale); ignored by the simulator.
 	TimeScale float64
-	// LiveShards selects the live backend's data plane (see
+	// LiveShards sets the live backend's ingress worker count (see
 	// runtime.Config.LiveShards); ignored by the simulator.
 	LiveShards int
 	// Progress, when non-nil, receives one line per completed run. It

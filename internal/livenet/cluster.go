@@ -45,11 +45,10 @@ type ClusterConfig struct {
 	// node (static mode takes it from the plan's config instead).
 	Aggregate bool
 
-	// Shards ≥ 1 runs every node on the high-throughput data plane with
-	// that many ingress worker shards (see NodeConfig.Shards); 0 keeps
-	// the classic single-threaded plane.
+	// Shards is every node's ingress worker shard count (see
+	// NodeConfig.Shards): 1 is the serial case, ≤ 0 one worker per core.
 	Shards int
-	// Burst caps the egress burst size on the sharded plane (default 32).
+	// Burst caps every node's egress burst size (default 32).
 	Burst int
 
 	// LinkLoss, in standalone (no-plan) mode, injects one loss adversary
@@ -61,8 +60,8 @@ type ClusterConfig struct {
 	// mode takes it from the plan's config).
 	Reliability runtime.Reliability
 
-	// MaxEgress bounds every node's total output-queue occupancy on the
-	// sharded plane (see NodeConfig.MaxEgress); 0 disables backpressure.
+	// MaxEgress bounds every node's total output-queue occupancy (see
+	// NodeConfig.MaxEgress); 0 disables backpressure.
 	MaxEgress int
 	// Admission enables node-local online admission control on every
 	// node in standalone mode (see NodeConfig.Admission). Plan

@@ -7,8 +7,6 @@ import (
 	"sort"
 	"strings"
 	"time"
-
-	"bdps/internal/msg"
 )
 
 // SLO observability: a hand-rolled text /metrics endpoint over the
@@ -49,12 +47,37 @@ func (c *Cluster) ServeMetrics(addr string) (*MetricsServer, error) {
 
 // RenderMetrics renders the exposition text: cluster-wide totals, then
 // per-broker gauges for the load signals an operator watches during an
-// overload (queue occupancy, peak queue, shed and rejection counts).
+// overload (queue occupancy, peak queue, shed and rejection counts). It
+// reads a snapshot of the node set, so scrapes are safe while brokers
+// restart.
 func (c *Cluster) RenderMetrics() string {
 	var b strings.Builder
-	t := c.TotalStats()
+	renderCounters(&b, c.TotalStats())
+	nodes := c.snapshotNodes()
+	sort.Slice(nodes, func(i, j int) bool { return nodes[i].ID() < nodes[j].ID() })
+	fmt.Fprintf(&b, "# HELP bdps_queue_depth Current output-queue occupancy per broker.\n# TYPE bdps_queue_depth gauge\n")
+	for _, n := range nodes {
+		fmt.Fprintf(&b, "bdps_queue_depth{broker=\"%d\"} %d\n", n.ID(), n.egress.Load())
+	}
+	fmt.Fprintf(&b, "# HELP bdps_queue_peak Largest output-queue occupancy per broker.\n# TYPE bdps_queue_peak gauge\n")
+	for _, n := range nodes {
+		fmt.Fprintf(&b, "bdps_queue_peak{broker=\"%d\"} %d\n", n.ID(), n.PeakQueue())
+	}
+	fmt.Fprintf(&b, "# HELP bdps_broker_up Whether the broker is running.\n# TYPE bdps_broker_up gauge\n")
+	for _, n := range nodes {
+		up := 1
+		if n.Stopped() {
+			up = 0
+		}
+		fmt.Fprintf(&b, "bdps_broker_up{broker=\"%d\"} %d\n", n.ID(), up)
+	}
+	return b.String()
+}
+
+// renderCounters writes one exposition counter per Stats field.
+func renderCounters(b *strings.Builder, t Stats) {
 	counter := func(name, help string, v int) {
-		fmt.Fprintf(&b, "# HELP bdps_%s %s\n# TYPE bdps_%s counter\nbdps_%s %d\n",
+		fmt.Fprintf(b, "# HELP bdps_%s %s\n# TYPE bdps_%s counter\nbdps_%s %d\n",
 			name, help, name, name, v)
 	}
 	counter("receptions_total", "Messages received by brokers.", t.Receptions)
@@ -68,33 +91,11 @@ func (c *Cluster) RenderMetrics() string {
 	counter("duplicates_total", "Duplicate receptions suppressed.", t.Duplicates)
 	counter("frames_lost_total", "Wire frames lost to the injected adversary.", t.FramesLost)
 	counter("retransmits_total", "Frames retransmitted by the reliable channel.", t.Retransmits)
+	counter("dups_suppressed_total", "Duplicate wire frames dropped by the reliable channel.", t.DupsSuppressed)
+	counter("reordered_healed_total", "Out-of-order wire frames restored to FIFO order.", t.ReorderedHealed)
+	counter("dropped_deadline_total", "Messages abandoned because no retry or replay could meet their bound.", t.DroppedDeadline)
 	counter("floods_suppressed_total", "Subscribe floods covered by aggregation.", t.FloodsSuppressed)
-
-	fmt.Fprintf(&b, "# HELP bdps_queue_depth Current output-queue occupancy per broker.\n# TYPE bdps_queue_depth gauge\n")
-	for _, id := range c.nodeIDs() {
-		fmt.Fprintf(&b, "bdps_queue_depth{broker=\"%d\"} %d\n", id, c.Nodes[id].egress.Load())
-	}
-	fmt.Fprintf(&b, "# HELP bdps_queue_peak Largest output-queue occupancy per broker.\n# TYPE bdps_queue_peak gauge\n")
-	for _, id := range c.nodeIDs() {
-		fmt.Fprintf(&b, "bdps_queue_peak{broker=\"%d\"} %d\n", id, c.Nodes[id].PeakQueue())
-	}
-	fmt.Fprintf(&b, "# HELP bdps_broker_up Whether the broker is running.\n# TYPE bdps_broker_up gauge\n")
-	for _, id := range c.nodeIDs() {
-		up := 1
-		if c.Nodes[id].Stopped() {
-			up = 0
-		}
-		fmt.Fprintf(&b, "bdps_broker_up{broker=\"%d\"} %d\n", id, up)
-	}
-	return b.String()
-}
-
-// nodeIDs returns the broker ids in ascending order (stable scrapes).
-func (c *Cluster) nodeIDs() []msg.NodeID {
-	ids := make([]msg.NodeID, 0, len(c.Nodes))
-	for id := range c.Nodes {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
+	counter("stale_epoch_frames_total", "Data frames rejected as sent by a dead broker incarnation.", t.StaleEpochFrames)
+	counter("sessions_resumed_total", "Subscriber sessions resumed after a reattach.", t.SessionsResumed)
+	counter("msgs_replayed_total", "Messages replayed to resumed sessions.", t.MsgsReplayed)
 }

@@ -1,7 +1,8 @@
 // Package livenet is the live TCP backend of the unified runtime layer
-// (internal/runtime): each broker is a Node with goroutines for inbound
-// connections and one sender goroutine per overlay link, talking the
-// binary wire protocol of internal/msg over TCP. The node's message
+// (internal/runtime): each broker is a Node with a reader goroutine per
+// inbound connection, a pool of ingress worker shards and one sender
+// goroutine per overlay link (shard.go), talking the binary wire
+// protocol of internal/msg over TCP. The node's message
 // handling — matching, local delivery, per-hop enqueueing, dedup — is
 // the same broker.Broker the simulator drives; this package only
 // realizes time (wall clock, compressed by TimeScale) and movement
@@ -34,6 +35,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	grt "runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -118,11 +120,11 @@ type NodeConfig struct {
 	OnPeerEvent func(PeerEvent)
 
 	// MaxEgress bounds the node's total output-queue occupancy (entries
-	// across all links) on the sharded plane: when reached, connection
-	// read loops stop dispatching message batches until senders drain the
-	// backlog, which fills the kernel socket buffers and pushes back on
-	// the TCP senders — end-to-end backpressure instead of unbounded
-	// queue growth behind a slow link. 0 disables the gate.
+	// across all links): when reached, connection read loops stop
+	// dispatching message batches until senders drain the backlog, which
+	// fills the kernel socket buffers and pushes back on the TCP senders
+	// — end-to-end backpressure instead of unbounded queue growth behind
+	// a slow link. 0 disables the gate.
 	MaxEgress int
 
 	// Admission enables node-local online admission control for
@@ -147,16 +149,14 @@ type NodeConfig struct {
 	// when StateDir recovery supplies one (recovered epoch + 1 wins).
 	Epoch uint32
 
-	// Shards selects the ingress data plane. 0 keeps the classic
-	// single-threaded path: every frame decoded with fresh allocations
-	// and processed inline in its connection's read loop, one write
-	// syscall pair per outbound frame. Any value ≥ 1 enables the
-	// high-throughput plane (shard.go): pooled zero-copy decoding,
-	// per-connection frame batching, that many parallel worker shards
-	// keyed by publication stream, and burst-paced writev egress.
+	// Shards is the number of ingress worker shards of the data plane
+	// (shard.go): pooled zero-copy decoding, per-connection frame
+	// batching, that many parallel workers keyed by publication stream,
+	// and burst-paced writev egress. 1 is the serial case; ≤ 0 means one
+	// worker per core (runtime.GOMAXPROCS(0)).
 	Shards int
-	// Burst caps how many messages a sender drains per egress burst in
-	// the sharded plane (default 32). Ignored when Shards == 0.
+	// Burst caps how many messages a sender drains per egress burst
+	// (default 32).
 	Burst int
 }
 
@@ -191,14 +191,15 @@ type Node struct {
 	// checkpoints can snapshot the send watermarks (guarded by mu).
 	linkSenders map[msg.NodeID]*linkSender
 
-	// sessions holds per-subscriber resumable delivery state: the
-	// session's delivery sequence numbers and a bounded replay ring
-	// (guarded by mu; see session.go).
+	// sessions holds the locally attached subscribers by subscription
+	// id: each session's connection, delivery sequence numbers and
+	// bounded replay ring (see session.go). The map is guarded by mu —
+	// entries are added only under the exclusive lock, shard workers read
+	// it shared — and each session's delivery state by its own mutex.
 	sessions map[msg.SubID]*session
 
-	// mu guards the mutable routing-side state below. The classic data
-	// plane takes it exclusively around every receive; sharded workers
-	// hold it shared while processing (broker.Processor synchronizes the
+	// mu guards the mutable routing-side state below. Shard workers hold
+	// it shared while processing (broker.Processor synchronizes the
 	// genuinely shared scheduling state on finer locks) so that
 	// subscription floods — which mutate the table — still exclude them.
 	mu sync.RWMutex
@@ -219,8 +220,6 @@ type Node struct {
 	// faults; the sender parks until the link comes back up.
 	linkDown  map[msg.NodeID]bool
 	estimates map[msg.NodeID]*stats.WelfordEstimator
-	// local subscriber connections by subscription id
-	locals map[msg.SubID]*subConn
 	// flood dedup; removed subscriptions leave a tombstone so a late
 	// subscribe flood cannot resurrect them. The tombstone set is
 	// generation-bounded (see tombstones) so sustained churn cannot leak
@@ -237,7 +236,7 @@ type Node struct {
 	lastHeard map[msg.NodeID]vtime.Millis
 	peerState map[msg.NodeID]int
 
-	// Sharded data plane (nil when Shards == 0); see shard.go.
+	// Ingress worker shards and the egress burst cap; see shard.go.
 	shards []*shard
 	burst  int
 	// nlinks is the number of outgoing overlay links — the worst-case
@@ -412,11 +411,6 @@ func (p *peerConn) writeBuffers(bufs *net.Buffers) (int64, error) {
 	return bufs.WriteTo(p.conn)
 }
 
-type subConn struct {
-	sub  *msg.Subscription
-	peer *peerConn
-}
-
 // tombstoneLimit bounds each tombstone generation. Total tombstone
 // memory is at most two generations; a subscribe flood older than the
 // last ~2·tombstoneLimit unsubscribes can in principle resurrect a
@@ -518,7 +512,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		wake:        make(map[msg.NodeID]chan struct{}),
 		linkDown:    make(map[msg.NodeID]bool),
 		estimates:   make(map[msg.NodeID]*stats.WelfordEstimator),
-		locals:      make(map[msg.SubID]*subConn),
 		seenSubs:    make(map[msg.SubID]bool),
 		peers:       make(map[msg.NodeID]*peerConn),
 		inbound:     make(map[net.Conn]struct{}),
@@ -554,18 +547,17 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		}
 	}
 	n.nlinks = int32(len(cfg.Overlay.Graph.Neighbors(cfg.ID)))
-	if cfg.Shards > 0 {
-		n.burst = cfg.Burst
-		if n.burst <= 0 {
-			n.burst = defaultBurst
-		}
-		n.startShards(cfg.Shards)
+	n.burst = cfg.Burst
+	if n.burst <= 0 {
+		n.burst = defaultBurst
 	}
+	shards := cfg.Shards
+	if shards <= 0 {
+		shards = grt.GOMAXPROCS(0)
+	}
+	n.startShards(shards)
 	return n, nil
 }
-
-// sharded reports whether the high-throughput data plane is on.
-func (n *Node) sharded() bool { return len(n.shards) > 0 }
 
 // ID returns the broker id.
 func (n *Node) ID() msg.NodeID { return n.cfg.ID }
@@ -768,11 +760,7 @@ func (n *Node) ConnectPeers(addrs map[msg.NodeID]string) error {
 		}
 
 		n.wg.Add(1)
-		if n.sharded() {
-			go n.senderLoopBatched(e.To, pc, wake, pacer, ls)
-		} else {
-			go n.senderLoop(e.To, pc, wake, pacer, ls)
-		}
+		go n.senderLoopBatched(e.To, pc, wake, pacer, ls)
 	}
 	n.startHeartbeats()
 	return nil
@@ -839,9 +827,7 @@ func (n *Node) Stop() {
 		for _, p := range n.peers {
 			p.conn.Close()
 		}
-		for _, s := range n.locals {
-			s.peer.conn.Close()
-		}
+		// Inbound connections include every attached subscriber's.
 		for conn := range n.inbound {
 			conn.Close()
 		}
@@ -931,20 +917,15 @@ func releaseEntry(e *core.Entry) {
 
 // PeakQueue returns the largest occupancy any output queue reached.
 func (n *Node) PeakQueue() int {
-	if n.sharded() {
-		peak := 0
-		n.b.EachQueue(func(_ msg.NodeID, q *core.Queue) {
-			q.Lock()
-			if p := q.Peak(); p > peak {
-				peak = p
-			}
-			q.Unlock()
-		})
-		return peak
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.b.PeakQueue()
+	peak := 0
+	n.b.EachQueue(func(_ msg.NodeID, q *core.Queue) {
+		q.Lock()
+		if p := q.Peak(); p > peak {
+			peak = p
+		}
+		q.Unlock()
+	})
+	return peak
 }
 
 // SetLinkDown injects (or lifts) a link outage on the outgoing link to a
@@ -978,19 +959,11 @@ func (n *Node) load() load {
 		busy:      int(n.busySenders.Load()),
 		inflight:  int(n.inflight.Load()),
 	}
-	if n.sharded() {
-		n.b.EachQueue(func(_ msg.NodeID, q *core.Queue) {
-			q.Lock()
-			s.queued += q.Len()
-			q.Unlock()
-		})
-		return s
-	}
-	n.mu.Lock()
-	for _, q := range n.b.Queues() {
+	n.b.EachQueue(func(_ msg.NodeID, q *core.Queue) {
+		q.Lock()
 		s.queued += q.Len()
-	}
-	n.mu.Unlock()
+		q.Unlock()
+	})
 	return s
 }
 
@@ -1046,117 +1019,13 @@ func (n *Node) readLoop(conn net.Conn) {
 	} else {
 		n.observeEpoch(peerID, peerEpoch)
 	}
-	peer := &peerConn{conn: conn}
-	if n.sharded() {
-		n.readLoopSharded(conn, role, peerID, peer)
-		return
-	}
-
-	// rl is the reliable-channel receiving state of this link, created
-	// lazily on the first data frame (clean links never pay for it).
-	var rl *recvLink
-	for {
-		ft, body, err := msg.ReadFrame(conn)
-		if err != nil {
-			return
-		}
-		switch ft {
-		case msg.FrameMessage:
-			m, err := msg.DecodeMessage(body)
-			if err != nil {
-				continue // tolerate one corrupt frame; connection survives
-			}
-			if role == msg.RolePublisher && m.Ingress != n.cfg.ID {
-				// Publishers must publish through their ingress broker.
-				continue
-			}
-			if role == msg.RolePublisher && !n.admitPub() {
-				// Rejected at the door: the frame still counts as accepted
-				// (quiescence compares recvPubs against injected frames).
-				n.recvPubs.Add(1)
-				continue
-			}
-			// inflight rises before the receive counters so a quiescence
-			// poll can never observe the counters settled while this
-			// message is still about to be processed.
-			n.inflight.Add(1)
-			switch role {
-			case msg.RolePublisher:
-				n.recvPubs.Add(1)
-			case msg.RoleBroker:
-				n.recvPeers.Add(1)
-			}
-			n.receive(m)
-			n.inflight.Add(-1)
-		case msg.FrameData:
-			if role != msg.RoleBroker {
-				continue
-			}
-			seq, base, fepoch, mb, derr := msg.DecodeDataHeader(body)
-			if derr != nil {
-				continue
-			}
-			if n.rejectStale(peerID, fepoch) {
-				// Sent by a dead incarnation: counted toward the wire
-				// totals (like a mangled drop), never processed.
-				n.recvPeers.Add(1)
-				continue
-			}
-			m, derr := msg.DecodeMessage(mb)
-			if derr != nil {
-				continue
-			}
-			n.inflight.Add(1)
-			n.recvPeers.Add(1)
-			if rl == nil {
-				rl = n.newRecvLink(peer)
-			}
-			for _, dm := range rl.accept(n, seq, base, m) {
-				n.receive(dm)
-				n.inflight.Add(-1)
-			}
-		case msg.FrameDataDrop:
-			// The loss shim's mangled write: counted so the wire totals
-			// balance, never processed.
-			if role == msg.RoleBroker {
-				n.recvPeers.Add(1)
-			}
-		case msg.FrameSubscribe:
-			s, err := msg.DecodeSubscription(body)
-			if err != nil {
-				continue
-			}
-			var from *peerConn
-			if role == msg.RoleSubscriber {
-				from = peer
-			}
-			n.handleSubscribe(s, from)
-		case msg.FrameUnsubscribe:
-			id, err := msg.DecodeUnsubscribe(body)
-			if err != nil {
-				continue
-			}
-			n.handleUnsubscribe(id)
-		case msg.FrameHeartbeat:
-			if from, e, err := msg.DecodeHeartbeat(body); err == nil {
-				n.observeEpoch(from, e)
-				n.heartbeatReceived(from)
-			}
-		case msg.FrameResume:
-			if role == msg.RoleSubscriber {
-				if sub, lastSeq, derr := msg.DecodeResume(body); derr == nil {
-					n.handleResume(sub, lastSeq, peer)
-				}
-			}
-		case msg.FrameAck, msg.FrameHello:
-			// Ignored.
-		}
-	}
+	n.readLoopSharded(conn, role, peerID, &peerConn{conn: conn})
 }
 
 // handleSubscribe installs a subscription (local conn non-nil when the
-// subscriber is attached here) and floods it to neighbors once.
-// Pre-installed plan subscriptions only register the local connection.
+// subscriber is attached here: its session is created or reattached) and
+// floods it to neighbors once. Pre-installed plan subscriptions only
+// attach the local session.
 // With aggregation on, the subscription's edge broker — the one place
 // that sees the concrete subscription first — classifies it against the
 // resident canonical filters and suppresses the flood when one with
@@ -1175,8 +1044,13 @@ func (n *Node) handleSubscribe(s *msg.Subscription, local *peerConn) {
 	}
 	first := !n.seenSubs[s.ID]
 	n.seenSubs[s.ID] = true
+	var reattach *session
 	if local != nil && s.Edge == n.cfg.ID {
-		n.locals[s.ID] = &subConn{sub: s, peer: local}
+		if sess, ok := n.sessions[s.ID]; ok {
+			reattach = sess
+		} else {
+			n.sessions[s.ID] = &session{peer: local}
+		}
 	}
 	flood := first
 	if first {
@@ -1216,6 +1090,9 @@ func (n *Node) handleSubscribe(s *msg.Subscription, local *peerConn) {
 	}
 	n.mu.Unlock()
 
+	if reattach != nil {
+		reattach.attach(local)
+	}
 	if !flood {
 		return
 	}
@@ -1247,7 +1124,6 @@ func (n *Node) handleUnsubscribe(id msg.SubID) {
 	// Forget the flood-dedup entry too: under sustained churn seenSubs
 	// would otherwise grow one entry per subscription ever seen.
 	delete(n.seenSubs, id)
-	delete(n.locals, id)
 	delete(n.sessions, id)
 	if n.store != nil {
 		_ = n.store.RemoveSub(id)
@@ -1371,89 +1247,8 @@ func (n *Node) installRoutes(s *msg.Subscription) {
 	n.installer.InstallAt(n.cfg.ID, n.table, s)
 }
 
-// receive handles one message arrival: processing delay, then the shared
-// broker logic — match, deliver locally, enqueue toward next hops — and
-// finally the wire side-effects (subscriber frames, sender wake-ups).
-func (n *Node) receive(m *msg.Message) {
-	// Processing delay, scaled like link delays.
-	if pd := n.b.Params().PD * n.cfg.TimeScale; pd > 0 {
-		time.Sleep(vtime.ToDuration(pd))
-	}
-	now := n.clock.Now()
-
-	n.mu.Lock()
-	n.cnt.receptions.Add(1)
-	if n.sink != nil {
-		n.sink.Reception()
-	}
-	res := n.b.Process(m, now)
-	if res.Duplicate {
-		n.cnt.duplicates.Add(1)
-		n.mu.Unlock()
-		return
-	}
-	// res aliases broker-owned scratch that the next Process overwrites,
-	// so it is consumed in full before releasing the lock.
-	n.accountResult(&res)
-	var wakes []chan struct{}
-	// Local deliveries travel as per-session FrameData frames (sequence
-	// numbers + bounded replay ring) so a disconnected subscriber can
-	// resume exactly-once; the frames are assembled under the lock (the
-	// session state lives there) and written after it.
-	type localOut struct {
-		pc    *peerConn
-		frame []byte
-	}
-	var outs []localOut
-	var body []byte
-	epoch := n.epoch.Load()
-	for _, d := range res.Deliveries {
-		sc, attached := n.locals[d.SubID]
-		sess, tracked := n.sessions[d.SubID]
-		if !attached && !tracked {
-			continue
-		}
-		if !attached {
-			// Plan-mode suspended session: retain sequence and deadline
-			// data for the resume accounting; there is no wire to frame
-			// the delivery for.
-			sess.record(epoch, nil, m.Published, d.Allowed)
-			continue
-		}
-		if body == nil {
-			b, err := msg.AppendMessage(nil, m)
-			if err != nil {
-				break
-			}
-			body = b
-		}
-		sess = n.session(sc.sub)
-		if f := sess.record(epoch, body, m.Published, d.Allowed); f != nil {
-			outs = append(outs, localOut{pc: sc.peer, frame: f})
-		}
-	}
-	for _, hop := range res.EnqueuedHops {
-		wakes = append(wakes, n.wake[hop])
-	}
-	n.mu.Unlock()
-
-	for _, o := range outs {
-		_ = o.pc.writeBuf(o.frame)
-	}
-	for _, w := range wakes {
-		if w == nil {
-			continue
-		}
-		select {
-		case w <- struct{}{}:
-		default:
-		}
-	}
-}
-
 // accountResult charges a Process result's deliveries and arrival
-// drops to the node counters and the metrics sink — shared by both
-// data planes so their accounting cannot drift apart.
+// drops to the node counters and the metrics sink.
 func (n *Node) accountResult(res *broker.Result) {
 	for _, d := range res.Deliveries {
 		n.cnt.deliveries.Add(1)
@@ -1505,92 +1300,6 @@ func (n *Node) accountDrops(drops []core.Drop) {
 			}
 		}
 		releaseEntry(d.Entry)
-	}
-}
-
-// senderLoop drains one link's queue: pick by strategy, pace to the
-// emulated link speed, write the frame. Injected link outages park the
-// loop until the link comes back up. A non-nil linkSender routes the
-// message through the reliable channel (sendReliable) instead of the
-// plain single-frame write.
-func (n *Node) senderLoop(to msg.NodeID, pc *peerConn, wake chan struct{}, pacer Pacer, ls *linkSender) {
-	defer n.wg.Done()
-	for {
-		n.mu.Lock()
-		if n.linkDown[to] {
-			n.mu.Unlock()
-			select {
-			case <-wake:
-				continue
-			case <-n.stopped:
-				return
-			}
-		}
-		q := n.b.Queue(to)
-		e, drops := q.PopNext(n.b.Strategy(), n.clock.Now(), n.b.Params())
-		n.accountDrops(drops)
-		if e != nil {
-			n.egress.Add(-1)
-			n.busySenders.Add(1)
-		}
-		n.mu.Unlock()
-
-		if e == nil {
-			select {
-			case <-wake:
-				continue
-			case <-n.stopped:
-				return
-			}
-		}
-		m := e.Data.(*msg.Message)
-		sizeKB := e.SizeKB
-		var dl vtime.Millis
-		if ls != nil {
-			dl = ls.rp.EffectiveDeadline(e.Targets, sizeKB)
-		}
-		e.Release()
-
-		if ls != nil {
-			ok := n.sendReliable(to, pc, pacer, ls, m, sizeKB, dl)
-			n.busySenders.Add(-1)
-			if !ok {
-				return
-			}
-			continue
-		}
-
-		// Pace the transfer to the sampled rate, measuring the wall time
-		// the transfer actually took — the live equivalent of the
-		// paper's "tools of network measurement".
-		tx := sizeKB * pacer.Sampler.Sample(pacer.Stream) * n.cfg.TimeScale
-		start := time.Now()
-		select {
-		case <-time.After(vtime.ToDuration(tx)):
-		case <-n.stopped:
-			n.busySenders.Add(-1)
-			return
-		}
-		body, err := msg.AppendMessage(nil, m)
-		if err == nil {
-			if pc.writeFrame(msg.FrameMessage, body) == nil {
-				n.sentPeers.Add(1)
-			} else if n.sink != nil {
-				// A failed peer write means the message died at a dead
-				// (crashed or stopped) neighbor.
-				n.sink.DroppedCrashed(1)
-			}
-		}
-
-		if sizeKB > 0 {
-			elapsed := vtime.FromDuration(time.Since(start)) / n.cfg.TimeScale
-			n.mu.Lock()
-			if est := n.estimates[to]; est != nil {
-				est.Observe(elapsed / sizeKB)
-			}
-			n.mu.Unlock()
-		}
-		n.busySenders.Add(-1)
 	}
 }
 

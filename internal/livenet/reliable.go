@@ -4,7 +4,6 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"bdps/internal/core"
 	"bdps/internal/msg"
@@ -19,7 +18,7 @@ import (
 // simulator, every attempt actually travels: a lost transmission goes out
 // with its frame-type byte mangled to FrameDataDrop (the frame-mangling
 // shim — the receiver counts the arrival for the wire totals and discards
-// it), a retransmission is a real re-write of the buffered frame, and the
+// it), a retransmission is a real re-write of the encoded frame, and the
 // delivering attempt goes out as FrameData carrying the link sequence
 // numbers the receiving end's dedup/reorder state consumes. Cumulative
 // acks flow back on the same connection and trim the bounded retransmit
@@ -29,7 +28,7 @@ import (
 // adversary and retry policy the plan resolved for this arc, the link
 // sequence counter (owned by the sender goroutine), the bounded
 // retransmit buffer (shared with the link's ack loop), and reusable
-// encode scratch.
+// burst scratch.
 type linkSender struct {
 	lm *runtime.LossModel
 	rp runtime.RetryPolicy
@@ -38,9 +37,8 @@ type linkSender struct {
 	// link's send watermark without stopping the sender.
 	seq  atomic.Uint64
 	retx *retxBuf
-	enc  []byte
 
-	// Sharded-plane burst scratch (owned by the sender goroutine).
+	// Burst scratch (owned by the sender goroutine).
 	chains []burstChain
 	order  []int
 	metas  []wireMeta
@@ -90,15 +88,6 @@ func (b *retxBuf) add(seq uint64, frame []byte) {
 		delete(b.frames, low)
 	}
 	b.frames[seq] = append(b.frames[seq][:0], frame...)
-}
-
-// get returns the buffered frame for a sequence (nil once acked or
-// evicted). The returned slice is the buffer's own storage: valid until
-// the next add of the same sequence.
-func (b *retxBuf) get(seq uint64) []byte {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.frames[seq]
 }
 
 // ack trims every frame at or below the cumulative sequence.
@@ -191,125 +180,7 @@ func wireFrames(out *runtime.SendOutcome) int {
 	return k
 }
 
-// writeChain realizes one resolved chain on the classic plane: encode
-// once, buffer for retransmission, then write every attempt — lost ones
-// with the type byte mangled to FrameDataDrop, retransmissions re-read
-// from the buffer, the delivering attempt as FrameData, the duplicated
-// copy once more. Every successful write counts toward the quiescence
-// totals (the receiver counts drops too); only a failed delivering write
-// kills the message (charged to the dead neighbor, like the plain path).
-func (n *Node) writeChain(pc *peerConn, ls *linkSender, seq, base uint64, m *msg.Message, out *runtime.SendOutcome) {
-	frame, err := msg.AppendDataFrame(ls.enc[:0], seq, base, n.epoch.Load(), m)
-	ls.enc = frame[:0]
-	if err != nil {
-		return // oversized re-encode cannot happen for decoded frames
-	}
-	ls.retx.add(seq, frame)
-	wire := ls.retx.get(seq)
-	if wire == nil {
-		wire = frame // evicted already (window 1): send the scratch copy
-	}
-	ty := msg.DataFrameType(0)
-	drops := out.Attempts - 1
-	if !out.Deliver {
-		drops = out.Attempts
-	}
-	for i := 0; i < drops; i++ {
-		wire[ty] = msg.FrameDataDrop
-		if pc.writeBuf(wire) == nil {
-			n.sentPeers.Add(1)
-		}
-	}
-	if !out.Deliver {
-		return
-	}
-	wire[ty] = msg.FrameData
-	if pc.writeBuf(wire) != nil {
-		// The message died at a dead (crashed or stopped) neighbor.
-		if n.sink != nil {
-			n.sink.DroppedCrashed(1)
-		}
-		return
-	}
-	n.sentPeers.Add(1)
-	if out.Dup && pc.writeBuf(wire) == nil {
-		n.sentPeers.Add(1)
-	}
-}
-
-// sendReliable plays one popped message — and, on a reorder decision, its
-// immediate queued successor — against the link adversary and realizes
-// the resolved chains on the wire: the classic plane's counterpart of the
-// simulator's kick. It reports false when the node stopped mid-pacing.
-func (n *Node) sendReliable(to msg.NodeID, pc *peerConn, pacer Pacer, ls *linkSender, m *msg.Message, sizeKB float64, dl vtime.Millis) bool {
-	now := n.clock.Now()
-	seq := ls.next()
-	out := runtime.ResolveSend(ls.lm, ls.rp, seq, sizeKB, dl, now)
-
-	// Reorder: the delivered head swaps behind its immediate successor
-	// when one is queued — the simulator's pair granularity.
-	var (
-		m2    *msg.Message
-		size2 float64
-		seq2  uint64
-		out2  runtime.SendOutcome
-	)
-	if out.Deliver && ls.lm.Swap(seq, now) {
-		n.mu.Lock()
-		e2, drops := n.b.Queue(to).PopNext(n.b.Strategy(), now, n.b.Params())
-		n.accountDrops(drops)
-		n.mu.Unlock()
-		if e2 != nil {
-			m2 = e2.Data.(*msg.Message)
-			size2 = e2.SizeKB
-			dl2 := ls.rp.EffectiveDeadline(e2.Targets, size2)
-			e2.Release()
-			seq2 = ls.next()
-			out2 = runtime.ResolveSend(ls.lm, ls.rp, seq2, size2, dl2, now)
-		}
-	}
-
-	// One pacing sleep for the whole exchange: every attempt and every
-	// duplicated copy charges a fresh rate sample.
-	tx := chainTime(&out, sizeKB, pacer)
-	totalKB := sizeKB * float64(wireFrames(&out))
-	if m2 != nil {
-		tx += chainTime(&out2, size2, pacer)
-		totalKB += size2 * float64(wireFrames(&out2))
-	}
-	start := time.Now()
-	if d := vtime.ToDuration(tx * n.cfg.TimeScale); d > 0 {
-		select {
-		case <-time.After(d):
-		case <-n.stopped:
-			return false
-		}
-	}
-	n.accountChain(&out)
-	if m2 != nil {
-		n.accountChain(&out2)
-	}
-	// Delivery order: the swapped-in successor's frames travel first.
-	// base is the lowest still-live sequence at each write (the suffix
-	// minimum over the delivery order), so the receiver never waits for
-	// an abandoned frame.
-	if m2 != nil {
-		n.writeChain(pc, ls, seq2, seq, m2, &out2)
-	}
-	n.writeChain(pc, ls, seq, seq, m, &out)
-
-	if totalKB > 0 {
-		elapsed := vtime.FromDuration(time.Since(start)) / n.cfg.TimeScale
-		n.mu.Lock()
-		if est := n.estimates[to]; est != nil {
-			est.Observe(elapsed / totalKB)
-		}
-		n.mu.Unlock()
-	}
-	return true
-}
-
-// burstChain is one burst entry's resolved chain on the sharded plane.
+// burstChain is one burst entry's resolved chain.
 type burstChain struct {
 	m    *msg.Message
 	size float64

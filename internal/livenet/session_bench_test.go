@@ -3,16 +3,15 @@ package livenet
 import (
 	"testing"
 
-	"bdps/internal/filter"
 	"bdps/internal/msg"
 	"bdps/internal/vtime"
 )
 
 // BenchmarkSessionResume measures the broker-side cost of one session
 // resume against a full replay ring: scanning the retained deliveries
-// past the client's token, gating each on its deadline, and assembling
-// the FrameData wire frames — the work handleResume does under the
-// node lock, minus the socket writes.
+// past the client's token and gating each on its deadline — the work
+// handleResume does under the session lock, minus the socket writes
+// (the slots already hold the stamped wire frames).
 func BenchmarkSessionResume(b *testing.B) {
 	m := &msg.Message{
 		ID: 1, Publisher: 100, Ingress: 0,
@@ -20,35 +19,27 @@ func BenchmarkSessionResume(b *testing.B) {
 		Attrs:   msg.NumAttrs(map[string]float64{"A1": 1, "A2": 2}),
 		Payload: make([]byte, 1024),
 	}
-	body, err := msg.AppendMessage(nil, m)
+	tmpl, err := msg.AppendDataFrame(nil, 0, 0, 1, m)
 	if err != nil {
 		b.Fatal(err)
 	}
-	sub := &msg.Subscription{ID: 1, Edge: 0, Filter: &filter.Filter{}}
-	s := &session{sub: sub, limit: sessionRingDefault}
+	s := new(session)
 	for i := 0; i < sessionRingDefault; i++ {
-		s.record(1, body, 0, vtime.Hour)
+		s.record(tmpl, 0, vtime.Hour)
 	}
 	token := uint64(sessionRingDefault / 2) // half the ring replays
 
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		replayed := 0
-		for j := range s.ring {
-			d := &s.ring[j]
-			if d.seq <= token {
-				continue
+		frames := 0
+		replayed, _ := s.replay(token, 0, func(f []byte) {
+			if len(f) > 0 {
+				frames++
 			}
-			if d.allowed <= 0 || vtime.Millis(0)-d.published > d.allowed {
-				continue
-			}
-			if f := d.frame(2); f != nil {
-				replayed++
-			}
-		}
-		if replayed != sessionRingDefault-int(token) {
-			b.Fatalf("replayed %d, want %d", replayed, sessionRingDefault-int(token))
+		})
+		if replayed != sessionRingDefault-int(token) || frames != replayed {
+			b.Fatalf("replayed %d (%d frames), want %d", replayed, frames, sessionRingDefault-int(token))
 		}
 	}
 }

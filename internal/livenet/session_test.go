@@ -1,7 +1,10 @@
 package livenet
 
 import (
+	"fmt"
+	"net"
 	grt "runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -364,5 +367,203 @@ func TestSessionRingBounded(t *testing.T) {
 	}
 	if n := c.Node(2).Stats().MsgsReplayed; n != got {
 		t.Errorf("broker counted %d replays, client saw %d", n, got)
+	}
+}
+
+// TestSessionResumeCrossShard resumes one sessionful subscriber fed by
+// two publication streams that land on different shards at the edge:
+// the subscriber receives a prefix of both streams, disconnects while
+// both keep publishing, and resumes with its token. Each stream must
+// arrive exactly once and in publication order across the seam — the
+// replay, then live traffic — with no delivery late.
+func TestSessionResumeCrossShard(t *testing.T) {
+	c, err := StartCluster(ClusterConfig{
+		Overlay:  tinyOverlay(t),
+		Scenario: msg.PSD,
+		// FIFO: per-queue service order equals arrival order, so any
+		// reordering can only come from the shards or the session.
+		Strategy:  core.FIFO{},
+		TimeScale: 0.002,
+		Seed:      1,
+		Shards:    4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+
+	sub := &msg.Subscription{ID: 1, Edge: 2, Filter: &filter.Filter{}}
+	s, err := DialSubscriber(c.Addr(2), sub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(100 * time.Millisecond) // subscription flood
+
+	var pubs []*Publisher
+	for id := msg.NodeID(0); id < 2; id++ {
+		p, err := DialPublisher(c.Addr(0), id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer p.Close()
+		pubs = append(pubs, p)
+	}
+	const perPhase = 20
+	injected := 0
+	publish := func() {
+		t.Helper()
+		for i := 0; i < perPhase; i++ {
+			for _, p := range pubs {
+				if _, err := p.Publish(0, msg.NumAttrs(map[string]float64{"A1": float64(i)}),
+					2, 60*vtime.Second, nil); err != nil {
+					t.Fatal(err)
+				}
+				injected++
+			}
+		}
+	}
+	got := make(map[msg.NodeID][]uint32)
+	receive := func(s *Subscriber, want int) {
+		t.Helper()
+		for n := len(got[0]) + len(got[1]); n < want; n++ {
+			m, err := s.Receive(5 * time.Second)
+			if err != nil {
+				t.Fatalf("delivery %d/%d: %v", n, want, err)
+			}
+			if !s.Valid(m, msg.PSD) {
+				t.Fatalf("message %d delivered past its bound", m.ID)
+			}
+			got[m.Publisher] = append(got[m.Publisher], uint32(uint64(m.ID)))
+		}
+	}
+
+	publish()
+	receive(s, 2*perPhase)
+	tok := s.Token()
+	s.Close()
+	publish()
+	deadline := time.Now().Add(10 * time.Second)
+	for !c.Quiescent(injected) {
+		if time.Now().After(deadline) {
+			t.Fatalf("cluster did not quiesce:\n%s", c.LoadReport())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	r, err := ResumeSubscriber(c.Addr(2), sub, tok)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	publish()
+	receive(r, 6*perPhase)
+	if m, err := r.Receive(200 * time.Millisecond); err == nil {
+		t.Fatalf("extra delivery %d after every message arrived", m.ID)
+	}
+
+	for id := msg.NodeID(0); id < 2; id++ {
+		seqs := got[id]
+		if len(seqs) != 3*perPhase {
+			t.Fatalf("publisher %d: %d deliveries, want %d", id, len(seqs), 3*perPhase)
+		}
+		for i, seq := range seqs {
+			if seq != uint32(i) {
+				t.Fatalf("publisher %d: delivery %d is message %d: stream not exactly once in order", id, i, seq)
+			}
+		}
+	}
+	total := c.TotalStats()
+	if total.SessionsResumed != 1 || total.MsgsReplayed != 2*perPhase {
+		t.Errorf("resumed %d sessions replaying %d messages, want 1 and %d",
+			total.SessionsResumed, total.MsgsReplayed, 2*perPhase)
+	}
+	if total.DroppedDeadline != 0 {
+		t.Errorf("%d deliveries dropped on deadline, want 0", total.DroppedDeadline)
+	}
+}
+
+// TestSessionConcurrentDeliveryWireOrder pins the session's wire order:
+// shard workers deliver to one session concurrently, and the client
+// drops any frame at or below its cursor, so frames must leave in
+// sequence order — numbering, recording and writing under one lock.
+func TestSessionConcurrentDeliveryWireOrder(t *testing.T) {
+	a, b := net.Pipe()
+	defer a.Close()
+	s := &session{peer: &peerConn{conn: a}}
+	tmpl, err := msg.AppendDataFrame(nil, 0, 0, 1, &msg.Message{ID: 1, Allowed: vtime.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers, each = 4, 500
+	done := make(chan error, 1)
+	go func() {
+		defer b.Close() // a failed check unblocks the writers
+		fr := msg.NewFrameReader(b)
+		var fb msg.FrameBuf
+		for want := uint64(1); want <= workers*each; want++ {
+			_, body, err := fr.Next(&fb)
+			if err != nil {
+				done <- err
+				return
+			}
+			if seq, _, _, _, err := msg.DecodeDataHeader(body); err != nil || seq != want {
+				done <- fmt.Errorf("frame %d on the wire carries seq %d (err %v)", want, seq, err)
+				return
+			}
+		}
+		done <- nil
+	}()
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				s.deliver(tmpl, 0, vtime.Hour)
+			}
+		}()
+	}
+	wg.Wait()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSessionRecordAllocFree pins the replay ring's steady state: once
+// the ring is full, recording a delivery reuses the oldest slot and its
+// frame storage — no allocation — and the slot holds the complete
+// FrameData frame stamped with the delivery's sequence.
+func TestSessionRecordAllocFree(t *testing.T) {
+	m := &msg.Message{
+		ID: 1, Publisher: 1, Published: 0, Allowed: vtime.Hour, SizeKB: 1,
+		Attrs:   msg.NumAttrs(map[string]float64{"A1": 1}),
+		Payload: make([]byte, 512),
+	}
+	tmpl, err := msg.AppendDataFrame(nil, 0, 0, 7, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := new(session)
+	for i := 0; i < sessionRingDefault; i++ {
+		s.record(tmpl, 0, vtime.Hour)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { s.record(tmpl, 0, vtime.Hour) }); allocs != 0 {
+		t.Fatalf("record on a full ring: %.1f allocs, want 0", allocs)
+	}
+	if len(s.ring) != sessionRingDefault {
+		t.Fatalf("ring holds %d slots, want %d", len(s.ring), sessionRingDefault)
+	}
+	next := s.seq - uint64(sessionRingDefault) + 1
+	replayed, _ := s.replay(0, 0, func(f []byte) {
+		seq, base, epoch, body, err := msg.DecodeDataHeader(f[8:]) // past the frame header
+		if err != nil || seq != next || base != seq || epoch != 7 {
+			t.Fatalf("slot frame: seq %d base %d epoch %d err %v, want seq %d", seq, base, epoch, err, next)
+		}
+		if _, err := msg.DecodeMessage(body); err != nil {
+			t.Fatalf("slot %d body: %v", seq, err)
+		}
+		next++
+	})
+	if replayed != sessionRingDefault || next != s.seq+1 {
+		t.Fatalf("replayed %d slots ending before %d, want %d ending at %d", replayed, next, sessionRingDefault, s.seq)
 	}
 }

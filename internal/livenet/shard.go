@@ -12,11 +12,8 @@ import (
 	"bdps/internal/vtime"
 )
 
-// This file is the high-throughput live data plane (NodeConfig.Shards
-// ≥ 1). The classic plane (node.go) decodes every frame with fresh
-// allocations, funnels all processing through one node-wide lock, and
-// pays two write syscalls per outbound frame; this one is built to
-// scale with cores and to amortize every per-message cost:
+// This file is the live data plane. It is built to scale with cores
+// and to amortize every per-message cost:
 //
 //   - Ingress: each connection's read loop decodes frames zero-copy
 //     into pooled messages and accumulates them into per-shard batches,
@@ -24,12 +21,15 @@ import (
 //     runs dry (or a batch cap is hit). A message's shard is keyed by
 //     its publication stream (the publisher id), so one stream is
 //     always processed by one worker, in arrival order — per-stream
-//     delivery order is exactly the single-threaded plane's.
+//     delivery order is exactly the serial (NodeConfig.Shards = 1)
+//     order.
 //   - Processing: each shard worker drives its own broker.Processor;
 //     workers for independent streams run broker matching and
 //     enqueueing in parallel, synchronizing only on the per-queue locks
 //     and the striped dedup set inside the broker. Subscription floods
-//     still take the node lock exclusively, parking all workers.
+//     still take the node lock exclusively, parking all workers. Local
+//     deliveries encode the message once and go out through each
+//     subscriber's session (session.go).
 //   - Egress: each sender drains its link queue in bursts (PopNext per
 //     message, so per-queue deadline scheduling is untouched), sleeps
 //     one pacing delay for the whole burst — the sum of the sampled
@@ -90,11 +90,11 @@ func (n *Node) startShards(k int) {
 	}
 }
 
-// readLoopSharded consumes frames from one inbound connection on the
-// sharded plane. Message frames decode zero-copy into pooled messages
-// and batch toward the shard workers; control frames (subscribe,
-// unsubscribe) flush pending batches first so control never overtakes
-// the data queued behind it, then run inline like the classic plane.
+// readLoopSharded consumes frames from one inbound connection after its
+// hello. Message frames decode zero-copy into pooled messages and batch
+// toward the shard workers; control frames (subscribe, unsubscribe,
+// resume) wait until this connection's dispatched batches are processed
+// so control never overtakes the data queued behind it, then run inline.
 func (n *Node) readLoopSharded(conn net.Conn, role byte, peerID msg.NodeID, peer *peerConn) {
 	fr := msg.NewFrameReader(conn)
 	var dec msg.Decoder
@@ -162,7 +162,7 @@ func (n *Node) readLoopSharded(conn net.Conn, role byte, peerID msg.NodeID, peer
 
 	// drain additionally waits until the workers have processed every
 	// batch this connection dispatched — the per-connection ordering
-	// barrier the classic plane gets for free from inline processing.
+	// barrier for control frames.
 	drain := func() bool {
 		if !flush() {
 			return false
@@ -283,8 +283,8 @@ func (n *Node) readLoopSharded(conn net.Conn, role byte, peerID msg.NodeID, peer
 				rl = n.newRecvLink(peer)
 			}
 			// Messages come back in restored FIFO order and batch toward
-			// the shard workers in that order, preserving the per-stream
-			// delivery ordering the sharded plane guarantees.
+			// the shard workers in that order, preserving per-stream
+			// delivery order.
 			for _, dm := range rl.accept(n, seq, base, m) {
 				si := int(uint32(dm.Publisher)) % len(n.shards)
 				b := pend[si]
@@ -334,6 +334,16 @@ func (n *Node) readLoopSharded(conn net.Conn, role byte, peerID msg.NodeID, peer
 				return
 			}
 			n.handleUnsubscribe(id)
+		case msg.FrameResume:
+			id, lastSeq, derr := msg.DecodeResume(body)
+			fb.Release()
+			if derr != nil || role != msg.RoleSubscriber {
+				continue
+			}
+			if !drain() {
+				return
+			}
+			n.handleResume(id, lastSeq, peer)
 		case msg.FrameHeartbeat:
 			from, fepoch, derr := msg.DecodeHeartbeat(body)
 			fb.Release()
@@ -360,35 +370,43 @@ func (n *Node) readLoopSharded(conn net.Conn, role byte, peerID msg.NodeID, peer
 	}
 }
 
+// workerScratch is one shard worker's reusable per-message scratch.
+type workerScratch struct {
+	enc    []byte
+	locals []localDelivery
+	wakes  []chan struct{}
+}
+
+// localDelivery is one delivery to a locally attached session.
+type localDelivery struct {
+	sess    *session
+	allowed vtime.Millis
+}
+
 // shardWorker processes its shard's batches with a private
 // broker.Processor and reusable encode scratch.
 func (n *Node) shardWorker(s *shard) {
 	defer n.wg.Done()
 	proc := n.b.NewProcessor()
-	var (
-		encBuf []byte
-		subs   []*peerConn
-		wakes  []chan struct{}
-	)
+	var ws workerScratch
 	for {
 		select {
 		case <-n.stopped:
 			return
 		case b := <-s.ch:
 			for _, m := range b.msgs {
-				encBuf, subs, wakes = n.processSharded(proc, m, encBuf, subs, wakes)
+				n.processSharded(proc, m, &ws)
 			}
 			b.release()
 		}
 	}
 }
 
-// processSharded is the sharded plane's counterpart of Node.receive:
-// one message through the shared broker logic, then the wire
-// side-effects. The scratch slices are threaded through and returned so
-// the worker reuses them across messages.
-func (n *Node) processSharded(proc *broker.Processor, m *msg.Message,
-	encBuf []byte, subs []*peerConn, wakes []chan struct{}) ([]byte, []*peerConn, []chan struct{}) {
+// processSharded handles one message arrival: processing delay, then
+// the shared broker logic — match, deliver locally, enqueue toward next
+// hops — and finally the wire side-effects (session frames, sender
+// wake-ups).
+func (n *Node) processSharded(proc *broker.Processor, m *msg.Message, ws *workerScratch) {
 	// Processing delay, scaled like link delays.
 	if pd := n.b.Params().PD * n.cfg.TimeScale; pd > 0 {
 		if d := vtime.ToDuration(pd); d > 0 {
@@ -408,14 +426,13 @@ func (n *Node) processSharded(proc *broker.Processor, m *msg.Message,
 	links := n.nlinks
 	m.Retain(links)
 
-	subs = subs[:0]
-	wakes = wakes[:0]
+	locals, wakes := ws.locals[:0], ws.wakes[:0]
 	n.mu.RLock()
 	res := proc.Process(m, now)
 	if !res.Duplicate {
 		for _, d := range res.Deliveries {
-			if sc, ok := n.locals[d.SubID]; ok {
-				subs = append(subs, sc.peer)
+			if sess, ok := n.sessions[d.SubID]; ok {
+				locals = append(locals, localDelivery{sess: sess, allowed: d.Allowed})
 			}
 		}
 		for _, hop := range res.EnqueuedHops {
@@ -425,22 +442,26 @@ func (n *Node) processSharded(proc *broker.Processor, m *msg.Message,
 		}
 	}
 	n.mu.RUnlock()
+	ws.locals, ws.wakes = locals, wakes
 
 	if res.Duplicate {
 		n.cnt.duplicates.Add(1)
 		m.ReleaseN(links + 1)
 		n.dispatched.Add(-1)
 		n.inflight.Add(-1)
-		return encBuf, subs, wakes
+		return
 	}
 	n.accountResult(&res)
-	if len(subs) > 0 {
-		var err error
-		encBuf, err = msg.AppendMessageFrame(encBuf[:0], m)
-		if err == nil {
-			for _, pc := range subs {
-				_ = pc.writeBuf(encBuf) // dead subscribers are fine
-			}
+	if len(locals) > 0 {
+		// Encode once; each session copies the frame into its ring slot
+		// and stamps its own sequence number there.
+		tmpl, err := msg.AppendDataFrame(ws.enc[:0], 0, 0, n.epoch.Load(), m)
+		ws.enc = tmpl
+		if err != nil {
+			tmpl = nil // oversized re-encode cannot happen for decoded frames
+		}
+		for _, l := range locals {
+			l.sess.deliver(tmpl, m.Published, l.allowed)
 		}
 	}
 	// Drop the unused link references and the decode reference; queue
@@ -454,7 +475,6 @@ func (n *Node) processSharded(proc *broker.Processor, m *msg.Message,
 	}
 	n.dispatched.Add(-1)
 	n.inflight.Add(-1)
-	return encBuf, subs, wakes
 }
 
 // senderLoopBatched drains one link's queue in bursts: pick up to Burst
@@ -497,9 +517,9 @@ func (n *Node) senderLoopBatched(to msg.NodeID, pc *peerConn, wake chan struct{}
 		n.accountDrops(drops)
 		if len(entries) > 0 {
 			n.egress.Add(-int64(len(entries)))
-			// Set inside the pop critical section, like the classic
-			// plane, so a quiescence poll cannot see the queue empty
-			// before the transfer is visible as in-progress.
+			// Set inside the pop critical section so a quiescence poll
+			// cannot see the queue empty before the transfer is visible
+			// as in-progress.
 			n.busySenders.Add(1)
 		}
 		q.Unlock()
@@ -513,8 +533,8 @@ func (n *Node) senderLoopBatched(to msg.NodeID, pc *peerConn, wake chan struct{}
 		}
 
 		// One pacing sleep for the burst: Σ size·rate over the sampled
-		// per-message rates — the same total transfer time the classic
-		// plane would sleep across the burst, in one step. On a lossy
+		// per-message rates — the same total transfer time per-message
+		// sleeps would take across the burst, in one step. On a lossy
 		// link every resolved attempt (and duplicated copy) charges its
 		// own sample instead.
 		var tx, sizeSum float64

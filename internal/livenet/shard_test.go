@@ -71,15 +71,23 @@ func runOrderedWorkload(t *testing.T, shards, perPub int) map[msg.NodeID][]uint3
 	return got
 }
 
+// shardCounts are the data-plane widths the plane tests run: 0 is the
+// default (one ingress worker per core), 1 the serial case and 4 a
+// parallel one.
+var shardCounts = []int{0, 1, 4}
+
 // TestShardedPerStreamOrderMatchesSerial is the sharded ingress's
-// correctness pin: with shards enabled, every message must still be
+// correctness pin: at every width, every message must still be
 // delivered exactly once and each publication stream must arrive at the
-// subscriber in publication order — exactly what the single-threaded
-// plane guarantees. Run with -race this also exercises the concurrent
-// Processor/queue/dedup paths.
+// subscriber in publication order — exactly what the serial plane
+// guarantees. Both streams land on different shards at the edge and
+// share one sessionful subscriber, so this also pins the session's
+// wire order: a frame written out of sequence order would be swallowed
+// by the client's resume cursor. Run with -race this also exercises the
+// concurrent Processor/queue/dedup/session paths.
 func TestShardedPerStreamOrderMatchesSerial(t *testing.T) {
 	const perPub = 40
-	for _, shards := range []int{0, 4} {
+	for _, shards := range shardCounts {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			got := runOrderedWorkload(t, shards, perPub)
 			if len(got) != 2 {

@@ -170,6 +170,14 @@ func AppendDataFrame(dst []byte, seq, base uint64, epoch uint32, m *Message) ([]
 	return dst, nil
 }
 
+// StampDataFrame overwrites the seq and base of a FrameData frame
+// assembled at the start of frame — so one encoded frame can be copied
+// and renumbered per receiver without re-encoding the message.
+func StampDataFrame(frame []byte, seq, base uint64) {
+	binary.BigEndian.PutUint64(frame[frameHdrLen:], seq)
+	binary.BigEndian.PutUint64(frame[frameHdrLen+8:], base)
+}
+
 // DataFrameType returns the offset of the frame-type byte within a frame
 // assembled at `start` — the byte the loss shim mangles to turn a
 // FrameData into a FrameDataDrop without reassembling the burst.

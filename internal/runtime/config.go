@@ -118,10 +118,10 @@ type Config struct {
 	// ~0.002. The simulator ignores it (virtual time costs nothing).
 	TimeScale float64
 
-	// LiveShards ≥ 1 runs every live broker on the sharded
-	// high-throughput data plane with that many ingress workers; 0 keeps
-	// the classic single-threaded plane. The simulator ignores it
-	// (scheduling semantics are identical either way).
+	// LiveShards is the number of ingress workers of every live
+	// broker's data plane: 1 is the serial case, ≤ 0 one worker per core
+	// (Go's GOMAXPROCS). The simulator ignores it (scheduling
+	// semantics are identical at every width).
 	LiveShards int
 
 	// Recovery configures the self-healing control plane: failure

@@ -55,13 +55,18 @@ func crossValConfig(t testing.TB) runtime.Config {
 	}
 }
 
+// liveShardCounts are the live data-plane widths the crossval tests run:
+// 0 is the default (one ingress worker per core), 1 the serial case and
+// 4 a parallel one.
+var liveShardCounts = []int{0, 1, 4}
+
 // TestCrossValidationSimVsLive is the unified layer's headline check:
 // one runtime.Config, deployed through one runtime.Plan, must produce
 // statistically matching results on the discrete-event simulator and
-// the live TCP overlay — on both live data planes. The sharded plane
-// changes how frames are decoded, processed and flushed, but must not
+// the live TCP overlay — at every data-plane width. The shard count
+// changes how many workers process frames in parallel, but must not
 // change what is delivered: per-stream delivery ordering and workload
-// accounting stay within the same bands as the classic plane.
+// accounting stay within the same bands as the serial plane.
 func TestCrossValidationSimVsLive(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compressed-timescale live cluster run")
@@ -76,7 +81,7 @@ func TestCrossValidationSimVsLive(t *testing.T) {
 		t.Errorf("backend = %q, want sim", sim.Backend)
 	}
 
-	for _, shards := range []int{0, 4} {
+	for _, shards := range liveShardCounts {
 		t.Run(fmt.Sprintf("liveShards=%d", shards), func(t *testing.T) {
 			lcfg := crossValConfig(t)
 			lcfg.Overlay = cfg.Overlay // plans may share an overlay across runs
@@ -173,7 +178,7 @@ func TestCrossValidationLossExact(t *testing.T) {
 				t.Errorf("sim dropped %d frames on deadline under blind retry", sim.DroppedDeadline)
 			}
 
-			for _, shards := range []int{0, 4} {
+			for _, shards := range liveShardCounts {
 				t.Run(fmt.Sprintf("liveShards=%d", shards), func(t *testing.T) {
 					lcfg := mk()
 					lcfg.LiveShards = shards
